@@ -3,14 +3,15 @@
 GO ?= go
 GOTEST_TIMEOUT ?= 20m
 
-.PHONY: check ci build test race vet fmt lint staticcheck vulncheck cover fuzz fuzz-smoke bench bench-faults bench-compare bench-guard bench-tables bench-tables-report bench-tables-recover study-smoke recover-smoke cluster-smoke soak
+.PHONY: check ci build test race vet fmt lint staticcheck vulncheck cover fuzz fuzz-smoke bench bench-smoke bench-faults bench-compare bench-guard bench-tables bench-tables-report bench-tables-recover study-smoke recover-smoke cluster-smoke soak
 
 # cover runs the whole suite under -race, so it subsumes the race target.
 check: fmt vet cover study-smoke recover-smoke cluster-smoke
 
 # ci mirrors the GitHub Actions pipeline locally: the tier-1 gate, the
-# lint pass, the short fuzz pass and the benchmark regression guard.
-ci: check lint fuzz-smoke bench-guard
+# benchmark smoke, the lint pass, the short fuzz pass and the benchmark
+# regression guard.
+ci: check bench-smoke lint fuzz-smoke bench-guard
 	@echo "ci OK"
 
 build:
@@ -107,6 +108,14 @@ fuzz:
 # decoder regression, short enough for every push.
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s
+
+# One iteration of every surrogate and search benchmark: times nothing,
+# but fails when a benchmark breaks at run time (a stale setup assertion,
+# a refit that stopped being incremental), so CI catches it on every push
+# instead of at the next measurement.
+bench-smoke:
+	$(GO) test -run xxx -bench 'Forest|AugmentedIteration|FullSearch' -benchtime 1x \
+		. ./internal/forest ./internal/core
 
 bench-faults:
 	$(GO) test -run xxx -bench BenchmarkRobustnessFaultInjection -benchtime 1x .

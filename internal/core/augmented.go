@@ -81,14 +81,21 @@ type PriorObservation struct {
 // stopping threshold.
 const DefaultDeltaThreshold = 1.1
 
-// defaultPairSampleRate is the per-tree observation-unit keep probability
+// SemanticsVersion versions what the optimizers do. Bump it with any
+// change that alters the search a fixed configuration and seed executes
+// (which candidates it measures, in what order, when it stops): run-cache
+// keys carry it, so results cached before the change stop matching
+// instead of being served as if the new code had produced them.
+const SemanticsVersion = 1
+
+// DefaultPairSampleRate is the per-tree observation-unit keep probability
 // of the pairwise surrogate when Forest.SampleRate is unset. Each tree
 // trains on the pair rows whose source and destination units it keeps
 // (~49% of rows), so measuring one more VM re-grows only the ~70% of
 // trees that keep the new unit — the lever behind incremental refits.
 // Set Forest.SampleRate to 1 for the classic every-tree-sees-everything
 // ensemble.
-const defaultPairSampleRate = 0.7
+const DefaultPairSampleRate = 0.7
 
 // AugmentedBO is Arrow: Bayesian optimization whose surrogate sees not
 // just the instance space but the low-level performance metrics of every
@@ -364,7 +371,7 @@ func (a *AugmentedBO) fitPairModelFor(st *searchState, treeSeed int64, target pa
 	cfg := a.cfg.Forest
 	cfg.Seed = treeSeed
 	if cfg.SampleRate == 0 {
-		cfg.SampleRate = defaultPairSampleRate
+		cfg.SampleRate = DefaultPairSampleRate
 	}
 	var prev *forest.Regressor
 	if !a.cfg.DisableIncrementalRefit {

@@ -312,7 +312,7 @@ func (a *AugmentedBO) fantasize(st *searchState, pending []PendingPoint, exclude
 		cfg := a.cfg.Forest
 		cfg.Seed = seed
 		if cfg.SampleRate == 0 {
-			cfg.SampleRate = defaultPairSampleRate
+			cfg.SampleRate = DefaultPairSampleRate
 		}
 		if a.cfg.DisableIncrementalRefit {
 			prev = nil

@@ -12,13 +12,10 @@
 // over the kept row sets make "unchanged" an O(rows) check, and a
 // fingerprint/config/prefix mismatch falls back to a full re-grow, so
 // Refit is always bit-identical to FitSampled on the same inputs.
+
 package forest
 
-import (
-	"fmt"
-
-	"repro/internal/parallel"
-)
+import "fmt"
 
 // RefitInfo reports how a Refit call was satisfied, for telemetry.
 type RefitInfo struct {
@@ -59,7 +56,7 @@ func keepUnit(seed int64, unit int32, rate float64) bool {
 
 // fingerprintRows chains the kept row indices through a splitmix64-style
 // mix. Two equal fingerprints mean the tree would train on the same rows.
-func fingerprintRows(rows []int) uint64 {
+func fingerprintRows(rows []int32) uint64 {
 	h := uint64(0x51_7c_c1_b7_27_22_0a_95)
 	for _, r := range rows {
 		h += uint64(r) + 0x9e3779b97f4a7c15
@@ -69,86 +66,46 @@ func fingerprintRows(rows []int) uint64 {
 	return h ^ (h >> 31)
 }
 
-// fullRowsFingerprint marks a tree that fell back to the full training
-// set (fewer than two sampled rows). It depends on n, so any append
-// re-grows such a tree.
+// fullRowsFingerprint marks a tree that trains on the full training set
+// (no subsampling, or fewer than two sampled rows). It depends on n, so
+// any append re-grows such a tree.
 func fullRowsFingerprint(n int) uint64 {
-	return fingerprintRows([]int{-1, n})
+	return fingerprintRows([]int32{-1, int32(n)})
 }
 
-// sampledRows computes each tree's kept row list. It returns one backing
-// slab sliced per tree, plus the fingerprints. identity is the [0..n)
-// list shared by trees that fall back to the full set.
-func sampledRows(cfg Config, seeds []int64, units [][2]int32, n int) (perTree [][]int, fps []uint64) {
-	numTrees := cfg.NumTrees
-	perTree = make([][]int, numTrees)
-	fps = make([]uint64, numTrees)
+// subsamples reports whether a resolved SampleRate draws per-tree unit
+// subsets; zero and one both mean every tree sees every row.
+func subsamples(rate float64) bool { return rate != 0 && rate != 1 }
 
-	identity := make([]int, n)
-	for i := range identity {
-		identity[i] = i
-	}
-	if cfg.SampleRate == 0 || cfg.SampleRate == 1 {
-		// No subsampling: every tree is the full-set Extra-Tree. Appends
-		// change every fingerprint, so Refit degrades to a full re-grow.
-		fullFP := fullRowsFingerprint(n)
-		for t := range perTree {
-			perTree[t] = identity
-			fps[t] = fullFP
-		}
-		return perTree, fps
-	}
-
-	// Unit membership per tree, precomputed so the per-row check is two
-	// slice loads instead of two hashes.
-	maxUnit := int32(-1)
-	for _, u := range units {
-		if u[0] > maxUnit {
-			maxUnit = u[0]
-		}
-		if u[1] > maxUnit {
-			maxUnit = u[1]
-		}
-	}
-	keep := make([]bool, maxUnit+1)
-
-	counts := make([]int, numTrees)
-	total := 0
-	for t := 0; t < numTrees; t++ {
-		for u := range keep {
-			keep[u] = keepUnit(seeds[t], int32(u), cfg.SampleRate)
-		}
-		c := 0
-		for _, u := range units {
-			if keep[u[0]] && keep[u[1]] {
-				c++
+// sampleRows fills g.idx with the rows the tree seeded by seed trains on
+// and returns their count and fingerprint. With units nil every row is
+// kept. Otherwise one pass decides each unit's membership (both of a
+// row's units must be kept) and collects the kept rows in ascending
+// order; a tree left with fewer than two rows falls back to the full
+// training set.
+func (g *grower) sampleRows(seed int64, units [][2]int32, rate float64) (int, uint64) {
+	if units != nil {
+		for u := range g.keep {
+			g.keep[u] = 0
+			if keepUnit(seed, int32(u), rate) {
+				g.keep[u] = 1
 			}
 		}
-		counts[t] = c
-		total += c
-	}
-	slab := make([]int, 0, total)
-	for t := 0; t < numTrees; t++ {
-		if counts[t] < 2 {
-			// Too few sampled rows to grow anything useful: fall back to
-			// the full training set for this tree.
-			perTree[t] = identity
-			fps[t] = fullRowsFingerprint(n)
-			continue
-		}
-		for u := range keep {
-			keep[u] = keepUnit(seeds[t], int32(u), cfg.SampleRate)
-		}
-		start := len(slab)
+		// Branch-free: membership is a coin flip per row, so every row is
+		// written to the next slot and only a kept one advances past it.
+		m := 0
 		for i, u := range units {
-			if keep[u[0]] && keep[u[1]] {
-				slab = append(slab, i)
-			}
+			g.idx[m] = int32(i)
+			m += int(g.keep[u[0]] & g.keep[u[1]])
 		}
-		perTree[t] = slab[start:len(slab):len(slab)]
-		fps[t] = fingerprintRows(perTree[t])
+		if m >= 2 {
+			return m, fingerprintRows(g.idx[:m])
+		}
 	}
-	return perTree, fps
+	for i := range g.idx {
+		g.idx[i] = int32(i)
+	}
+	return g.n, fullRowsFingerprint(g.n)
 }
 
 // validateUnits checks the per-row unit pairs FitSampled and Refit
@@ -206,36 +163,15 @@ func Refit(prev *Regressor, cfg Config, xs [][]float64, ys []float64, units [][2
 		ys:    append([]float64(nil), ys...),
 		units: append([][2]int32(nil), units...),
 	}
-	seeds := treeSeeds(cfg.Seed, cfg.NumTrees)
-	rows, fps := sampledRows(cfg, seeds, st.units, n)
-	st.fps = fps
-
 	info := RefitInfo{TotalTrees: cfg.NumTrees}
-	var prevState *sampleState
 	if prev != nil && prev.state != nil && compatible(prev.state, st) {
 		info.Incremental = true
-		prevState = prev.state
+	} else {
+		prev = nil
 	}
-
-	trees := make([]tree, cfg.NumTrees)
-	reused := make([]bool, cfg.NumTrees)
-	if prevState != nil {
-		for t := range trees {
-			if fps[t] == prevState.fps[t] {
-				trees[t] = prev.trees[t]
-				reused[t] = true
-				info.ReusedTrees++
-			}
-		}
-	}
-	parallel.DoWithScratch(cfg.NumTrees, cfg.Parallelism,
-		func() *grower { return newGrower(cfg, st.cols, st.ys, n, dims) },
-		func(t int, g *grower) {
-			if reused[t] {
-				return
-			}
-			g.growTreeOn(&trees[t], &splitmix{state: uint64(seeds[t])}, rows[t])
-		})
+	trees, fps, reused := growEnsemble(cfg, st.cols, st.ys, st.units, prev)
+	st.fps = fps
+	info.ReusedTrees = reused
 	return &Regressor{
 		trees:       trees,
 		numDims:     dims,

@@ -3,7 +3,7 @@ package runcache
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 )
 
 // Fingerprint is the canonical description of one search execution. The
@@ -17,6 +17,9 @@ import (
 type Fingerprint struct {
 	// Schema versions the fingerprint layout itself.
 	Schema string
+	// Semantics versions the optimizers' behavior: a change that alters
+	// what a search does bumps it, so older cached results never match.
+	Semantics int
 	// Substrate versions the measurement substrate: results produced
 	// under different substrate versions never share a key.
 	Substrate string
@@ -43,6 +46,8 @@ type Fingerprint struct {
 	ForestMinSplit    int
 	ForestMaxFeatures int
 	ForestMaxDepth    int
+	// ForestSampleRate is the resolved per-tree unit keep probability.
+	ForestSampleRate float64
 
 	// Initial-design configuration.
 	DesignKind  string
@@ -50,16 +55,51 @@ type Fingerprint struct {
 	DesignFixed []int
 }
 
-// Key hashes the fingerprint into its content address.
+// Key hashes the fingerprint into its content address. Strings are
+// quoted so no field separator can be forged from inside a workload ID;
+// floats print with enough digits to round-trip exactly. The encoding is
+// appended directly rather than through fmt: a warm study looks a key up
+// for every search it replays, and formatting dominates that path.
 func (f Fingerprint) Key() Key {
-	h := sha256.New()
-	// %q quotes the strings so no field separator can be forged from
-	// inside a workload ID; floats print with enough digits to
-	// round-trip exactly.
-	fmt.Fprintf(h, "%q|%q|%q|%q|%q|%d|%q|%.17g|%.17g|%d|%d,%d,%d,%d|%q|%d|%v",
-		f.Schema, f.Substrate, f.Method, f.WorkloadID, f.Objective, f.Seed,
-		f.Kernel, f.EIStop, f.Delta, f.SwitchAfter,
-		f.ForestTrees, f.ForestMinSplit, f.ForestMaxFeatures, f.ForestMaxDepth,
-		f.DesignKind, f.DesignSize, f.DesignFixed)
-	return Key(hex.EncodeToString(h.Sum(nil)))
+	b := make([]byte, 0, 256)
+	str := func(s string, sep byte) {
+		b = strconv.AppendQuote(b, s)
+		b = append(b, sep)
+	}
+	num := func(v int64, sep byte) {
+		b = strconv.AppendInt(b, v, 10)
+		b = append(b, sep)
+	}
+	float := func(v float64, sep byte) {
+		b = strconv.AppendFloat(b, v, 'g', 17, 64)
+		b = append(b, sep)
+	}
+	str(f.Schema, '|')
+	num(int64(f.Semantics), '|')
+	str(f.Substrate, '|')
+	str(f.Method, '|')
+	str(f.WorkloadID, '|')
+	str(f.Objective, '|')
+	num(f.Seed, '|')
+	str(f.Kernel, '|')
+	float(f.EIStop, '|')
+	float(f.Delta, '|')
+	num(int64(f.SwitchAfter), '|')
+	num(int64(f.ForestTrees), ',')
+	num(int64(f.ForestMinSplit), ',')
+	num(int64(f.ForestMaxFeatures), ',')
+	num(int64(f.ForestMaxDepth), ',')
+	float(f.ForestSampleRate, '|')
+	str(f.DesignKind, '|')
+	num(int64(f.DesignSize), '|')
+	b = append(b, '[')
+	for i, v := range f.DesignFixed {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	b = append(b, ']')
+	sum := sha256.Sum256(b)
+	return Key(hex.EncodeToString(sum[:]))
 }

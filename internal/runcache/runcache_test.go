@@ -1,6 +1,8 @@
 package runcache
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -270,6 +272,30 @@ func TestFingerprintKeyIsHexAndStable(t *testing.T) {
 	fp.Seed = 4
 	if fp.Key() == k1 {
 		t.Error("seed change must alter the key")
+	}
+}
+
+// TestFingerprintKeyEncoding pins Key's byte encoding to an equivalent
+// fmt rendering, so the direct appends keep every field separated,
+// quoted and round-trip exact.
+func TestFingerprintKeyEncoding(t *testing.T) {
+	for _, fp := range []Fingerprint{
+		{},
+		{Schema: "arrow-run/2", Semantics: 1, Substrate: "sim/1", Method: "Augmented BO",
+			WorkloadID: `odd|"id"\n`, Objective: "cost", Seed: -3, Delta: 1.1, EIStop: -1,
+			SwitchAfter: 6, ForestTrees: 100, ForestMinSplit: 2, ForestMaxFeatures: 4,
+			ForestMaxDepth: 8, ForestSampleRate: 0.7, DesignKind: "fixed", DesignSize: 3,
+			DesignFixed: []int{0, 17, 5}},
+	} {
+		text := fmt.Sprintf("%q|%d|%q|%q|%q|%q|%d|%q|%.17g|%.17g|%d|%d,%d,%d,%d,%.17g|%q|%d|%v",
+			fp.Schema, fp.Semantics, fp.Substrate, fp.Method, fp.WorkloadID, fp.Objective, fp.Seed,
+			fp.Kernel, fp.EIStop, fp.Delta, fp.SwitchAfter,
+			fp.ForestTrees, fp.ForestMinSplit, fp.ForestMaxFeatures, fp.ForestMaxDepth, fp.ForestSampleRate,
+			fp.DesignKind, fp.DesignSize, fp.DesignFixed)
+		sum := sha256.Sum256([]byte(text))
+		if want := Key(hex.EncodeToString(sum[:])); fp.Key() != want {
+			t.Errorf("Key(%+v) = %s, want the hash of %q (%s)", fp, fp.Key(), text, want)
+		}
 	}
 }
 

@@ -8,21 +8,23 @@ import (
 )
 
 // fingerprintSchema versions the canonicalization below, independently of
-// the substrate: bump it when the mapping from MethodConfig to
-// Fingerprint changes.
-const fingerprintSchema = "arrow-run/1"
+// the substrate and of the optimizers' behavior (core.SemanticsVersion):
+// bump it when the mapping from MethodConfig to Fingerprint changes.
+const fingerprintSchema = "arrow-run/2"
 
 // Fingerprint canonically identifies the search RunSearch(mc, w,
 // objective, seed) would execute, for cache addressing. Canonical means
 // two MethodConfigs that build behaviorally identical optimizers map to
 // the same fingerprint: defaulted zero values are resolved (a zero
-// kernel and an explicit Matérn 5/2 collide), every disabled stopping
+// kernel and an explicit Matérn 5/2 collide, as do a zero forest
+// SampleRate and core.DefaultPairSampleRate), every disabled stopping
 // threshold collapses to -1, and fields the method ignores are dropped —
 // including forest Seed (the optimizer overrides it) and Parallelism
 // (results are bit-identical at any worker count).
 func (mc MethodConfig) Fingerprint(workloadID string, objective core.Objective, seed int64, substrate string) runcache.Fingerprint {
 	fp := runcache.Fingerprint{
 		Schema:     fingerprintSchema,
+		Semantics:  core.SemanticsVersion,
 		Substrate:  substrate,
 		Method:     mc.Method.String(),
 		WorkloadID: workloadID,
@@ -56,6 +58,9 @@ func (mc MethodConfig) Fingerprint(workloadID string, objective core.Objective, 
 		fp.ForestMinSplit = fc.MinSamplesSplit
 		fp.ForestMaxFeatures = fc.MaxFeatures // 0 = round(sqrt(d)), already canonical
 		fp.ForestMaxDepth = fc.MaxDepth       // 0 = unbounded
+		if fp.ForestSampleRate = fc.SampleRate; fp.ForestSampleRate == 0 {
+			fp.ForestSampleRate = core.DefaultPairSampleRate
+		}
 	}
 	kernelName := func(k kernel.Kind) string {
 		if k == 0 {

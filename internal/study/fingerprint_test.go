@@ -32,6 +32,9 @@ func TestFingerprintSemanticFieldsAlterKey(t *testing.T) {
 		{"augmented forest size", MethodConfig{Method: MethodAugmented, Forest: forest.Config{NumTrees: 50}}, MethodConfig{Method: MethodAugmented, Forest: forest.Config{NumTrees: 200}}},
 		{"augmented forest min-split", MethodConfig{Method: MethodAugmented, Forest: forest.Config{MinSamplesSplit: 4}}, MethodConfig{Method: MethodAugmented}},
 		{"augmented forest max-depth", MethodConfig{Method: MethodAugmented, Forest: forest.Config{MaxDepth: 4}}, MethodConfig{Method: MethodAugmented}},
+		{"augmented forest sample rate", MethodConfig{Method: MethodAugmented, Forest: forest.Config{SampleRate: 0.7}}, MethodConfig{Method: MethodAugmented, Forest: forest.Config{SampleRate: 1}}},
+		{"default sample rate vs full data", MethodConfig{Method: MethodAugmented}, MethodConfig{Method: MethodAugmented, Forest: forest.Config{SampleRate: 1}}},
+		{"hybrid forest sample rate", MethodConfig{Method: MethodHybrid}, MethodConfig{Method: MethodHybrid, Forest: forest.Config{SampleRate: 1}}},
 		{"hybrid switch point", MethodConfig{Method: MethodHybrid, SwitchAfter: 5}, MethodConfig{Method: MethodHybrid, SwitchAfter: 7}},
 		{"hybrid kernel", MethodConfig{Method: MethodHybrid, Kernel: kernel.RBF}, MethodConfig{Method: MethodHybrid}},
 		{"design kind", MethodConfig{Method: MethodNaive, Design: core.DesignConfig{Kind: core.DesignSobol}}, MethodConfig{Method: MethodNaive}},
@@ -64,6 +67,23 @@ func TestFingerprintRunCoordinatesAlterKey(t *testing.T) {
 	}
 }
 
+// TestFingerprintCarriesSemanticsVersion: every method's key is bound to
+// the optimizers' semantics version, so bumping core.SemanticsVersion
+// orphans every result cached before the behavior change.
+func TestFingerprintCarriesSemanticsVersion(t *testing.T) {
+	for _, m := range []Method{MethodNaive, MethodAugmented, MethodHybrid, MethodRandom} {
+		fp := MethodConfig{Method: m}.Fingerprint("als/spark2.1/medium", core.MinimizeCost, 3, sim.SubstrateVersion)
+		if fp.Semantics != core.SemanticsVersion {
+			t.Errorf("%v: fingerprint semantics %d, want core.SemanticsVersion %d", m, fp.Semantics, core.SemanticsVersion)
+		}
+		bumped := fp
+		bumped.Semantics++
+		if bumped.Key() == fp.Key() {
+			t.Errorf("%v: a semantics bump must alter the key", m)
+		}
+	}
+}
+
 // TestFingerprintCosmeticChangesKeepKey: configurations that build
 // behaviorally identical optimizers must collide onto one key, so the
 // cache actually deduplicates across experiments that spell their
@@ -79,6 +99,8 @@ func TestFingerprintCosmeticChangesKeepKey(t *testing.T) {
 		{"any negative delta disables", MethodConfig{Method: MethodAugmented, Delta: -1}, MethodConfig{Method: MethodAugmented, Delta: -0.5}},
 		{"zero delta is the default", MethodConfig{Method: MethodAugmented}, MethodConfig{Method: MethodAugmented, Delta: core.DefaultDeltaThreshold}},
 		{"zero forest is the default forest", MethodConfig{Method: MethodAugmented}, MethodConfig{Method: MethodAugmented, Forest: forest.Config{NumTrees: forest.DefaultNumTrees, MinSamplesSplit: forest.DefaultMinSamplesSplit}}},
+		{"zero sample rate is core's default", MethodConfig{Method: MethodAugmented}, MethodConfig{Method: MethodAugmented, Forest: forest.Config{SampleRate: core.DefaultPairSampleRate}}},
+		{"sample rate ignored by naive", MethodConfig{Method: MethodNaive, Forest: forest.Config{SampleRate: 1}}, MethodConfig{Method: MethodNaive}},
 		{"forest parallelism is execution-only", MethodConfig{Method: MethodAugmented, Forest: forest.Config{Parallelism: 1}}, MethodConfig{Method: MethodAugmented, Forest: forest.Config{Parallelism: 8}}},
 		{"forest seed is optimizer-managed", MethodConfig{Method: MethodAugmented, Forest: forest.Config{Seed: 99}}, MethodConfig{Method: MethodAugmented}},
 		{"kernel ignored by augmented", MethodConfig{Method: MethodAugmented, Kernel: kernel.RBF}, MethodConfig{Method: MethodAugmented}},
