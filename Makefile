@@ -272,10 +272,13 @@ study-smoke:
 # Race-detected crash-recovery smoke: the kill -9 chaos test (a real
 # arrow-serve process SIGKILLed mid-session, restarted, every session
 # finished with a byte-identical result) plus the serve-layer recovery
-# suite — damaged journals, rolling restarts, two-replica partitions.
+# suite — damaged journals, rolling restarts, two-replica partitions,
+# observes that must not be acked, and the parallel scan and replay
+# pinned to their sequential results (shard-by-shard scan, Workers 1 vs 4).
 recover-smoke:
 	$(GO) test -race -run 'TestServeCLIKillNineRecovery' ./cmd/arrow-serve
-	$(GO) test -race -run 'TestCrashRecover|TestGracefulShutdownRehydrates|TestRecover|TestTwoReplicas' ./internal/serve
+	$(GO) test -race -run 'TestScanParallelEquivalent' ./internal/journal
+	$(GO) test -race -run 'TestCrashRecover|TestGracefulShutdownRehydrates|TestRecover|TestTwoReplicas|TestBlindObserve|TestObserveLostAppend' ./internal/serve
 	@echo "recover smoke OK: kill -9 and restart lost zero acknowledged observations"
 
 # Race-detected registry-cluster smoke: one process hosts the shard

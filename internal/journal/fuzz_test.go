@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -19,26 +20,64 @@ func corpusLine(rec Record) []byte {
 }
 
 // FuzzDecodeLine drives the checksummed line decoder with arbitrary
-// bytes. Properties: it never panics, everything it accepts carries a
-// session id and a non-negative seq, and an accepted record survives an
-// encode/decode round trip.
+// bytes. Properties: it never panics; it decides every line exactly as
+// the generic envelope decoder does — the same record, and an error from
+// both or from neither — so the canonical one-pass path is a pure
+// speedup; everything it accepts carries a session id and a non-negative
+// seq; and an accepted record survives an encode/decode round trip.
 func FuzzDecodeLine(f *testing.F) {
-	f.Add(corpusLine(Record{Session: "s-000001", Seq: 0, Kind: KindCreate, Request: json.RawMessage(`{"method":"random","seed":1}`)}))
-	f.Add(corpusLine(Record{Session: "s-000001", Seq: 1, Kind: KindSuggest, Index: 4, Step: 0}))
-	f.Add(corpusLine(Record{Session: "s-000001", Seq: 2, Kind: KindObserve, Index: 4, TimeSec: 120.5, CostUSD: 0.42, Metrics: []float64{1, 2, 3}}))
-	f.Add(corpusLine(Record{Session: "s-000001", Seq: 3, Kind: KindObserveFailure, Index: 4, Reason: "spot reclaimed"}))
-	f.Add(corpusLine(Record{Session: "s-000001", Seq: 4, Kind: KindEnd, Reason: "done"}))
+	canonical := [][]byte{
+		corpusLine(Record{Session: "s-000001", Seq: 0, Kind: KindCreate, Request: json.RawMessage(`{"method":"random","seed":1}`)}),
+		corpusLine(Record{Session: "s-000001", Seq: 1, Kind: KindSuggest, Index: 4, Step: 0}),
+		corpusLine(Record{Session: "s-000001", Seq: 2, Kind: KindObserve, Index: 4, TimeSec: 120.5, CostUSD: 0.42, Metrics: []float64{1, 2, 3}}),
+		corpusLine(Record{Session: "s-000001", Seq: 3, Kind: KindObserveFailure, Index: 4, Reason: "spot reclaimed"}),
+		corpusLine(Record{Session: "s-000001", Seq: 4, Kind: KindEnd, Reason: "done"}),
+		corpusLine(Record{Kind: KindTombstoneIndex, Tombstones: []string{"s-000002"}}),
+	}
+	for _, line := range canonical {
+		f.Add(line)
+		// Near-canonical shapes the one-pass path must hand to the
+		// generic decoder: whitespace around the record or the keys, a
+		// leading zero on the crc, a trailing member, a doubled brace.
+		body := bytes.TrimSuffix(line, []byte("\n"))
+		crc, rec, _ := bytes.Cut(bytes.TrimPrefix(body, []byte(`{"crc":`)), []byte(`,"rec":`))
+		rec = rec[:len(rec)-1]
+		f.Add([]byte(`{"crc":` + string(crc) + `,"rec":` + string(rec) + ` }`))
+		f.Add([]byte(`{"crc":` + string(crc) + `,"rec": ` + string(rec) + `}`))
+		f.Add([]byte(`{ "crc":` + string(crc) + `,"rec":` + string(rec) + `}`))
+		f.Add([]byte(`{"crc":0` + string(crc) + `,"rec":` + string(rec) + `}`))
+		f.Add([]byte(`{"crc":` + string(crc) + `,"rec":` + string(rec) + `,"x":{}}`))
+		f.Add([]byte(`{"crc":` + string(crc) + `,"rec":` + string(rec) + `}}`))
+		f.Add([]byte(`{"rec":` + string(rec) + `,"crc":` + string(crc) + `}`))
+	}
 	f.Add([]byte(`{"crc":123,"rec":{"sid":"s-000001","seq":0,"kind":"create"}}`)) // bad crc
 	f.Add([]byte(`{"crc":0,"rec":null}`))
+	f.Add([]byte(`{"crc":4294967296,"rec":{}}`))
 	f.Add([]byte(`{"rec":{"sid":"x","seq":-1,"kind":"end"}}`))
 	f.Add([]byte(`garbage`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if fast, ok := decodeCanonical(data); ok {
+			slow, err := decodeEnvelope(data)
+			if err != nil || !reflect.DeepEqual(fast, slow) {
+				t.Fatalf("one-pass decode of %q gave %+v, generic gave %+v (%v)", data, fast, slow, err)
+			}
+		}
+		want, werr := decodeEnvelope(data)
+		if werr == nil {
+			werr = checkRecord(want)
+		}
 		rec, err := DecodeLine(data)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("DecodeLine(%q) error %v, generic decoder error %v", data, err, werr)
+		}
 		if err != nil {
 			return
 		}
-		if rec.Session == "" || rec.Seq < 0 {
+		if !reflect.DeepEqual(rec, want) {
+			t.Fatalf("DecodeLine(%q) = %+v, generic decoder = %+v", data, rec, want)
+		}
+		if rec.Session == "" && rec.Kind != KindTombstoneIndex || rec.Seq < 0 {
 			t.Fatalf("accepted invalid record %+v from %q", rec, data)
 		}
 		line, err := EncodeLine(rec)

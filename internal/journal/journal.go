@@ -46,6 +46,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/parallel"
 )
 
 // Kind names one session state transition.
@@ -242,7 +244,8 @@ func WithNow(now func() time.Time) Option {
 }
 
 // WithWarnf routes non-fatal warnings (skipped damaged lines, lease
-// oddities). The default writes to os.Stderr.
+// oddities). Scans warn from one goroutine per shard, so fn must be safe
+// for concurrent use. The default writes to os.Stderr.
 func WithWarnf(fn func(format string, args ...any)) Option {
 	return func(c *config) {
 		if fn != nil {
@@ -497,8 +500,39 @@ func EncodeLine(rec Record) ([]byte, error) {
 	return append(line, '\n'), nil
 }
 
-// DecodeLine parses and checksum-verifies one shard line.
+// DecodeLine parses and checksum-verifies one shard line. A line in the
+// exact shape EncodeLine writes takes a one-pass path (decodeCanonical);
+// anything else goes through the generic envelope decoder, which decides
+// every line the same way (FuzzDecodeLine checks the two agree).
 func DecodeLine(line []byte) (Record, error) {
+	rec, ok := decodeCanonical(line)
+	if !ok {
+		var err error
+		if rec, err = decodeEnvelope(line); err != nil {
+			return Record{}, err
+		}
+	}
+	if err := checkRecord(rec); err != nil {
+		return Record{}, err
+	}
+	return rec, nil
+}
+
+// checkRecord rejects a decoded record no chain can hold.
+func checkRecord(rec Record) error {
+	if rec.Session == "" && rec.Kind != KindTombstoneIndex {
+		return errors.New("journal: record has no session id")
+	}
+	if rec.Seq < 0 {
+		return fmt.Errorf("journal: record has negative seq %d", rec.Seq)
+	}
+	return nil
+}
+
+// decodeEnvelope is the generic line decoder: the envelope through
+// encoding/json, then the CRC over the record bytes it holds, then the
+// record.
+func decodeEnvelope(line []byte) (Record, error) {
 	var env envelope
 	if err := json.Unmarshal(line, &env); err != nil {
 		return Record{}, fmt.Errorf("journal: undecodable line: %w", err)
@@ -513,13 +547,44 @@ func DecodeLine(line []byte) (Record, error) {
 	if err := json.Unmarshal(env.Rec, &rec); err != nil {
 		return Record{}, fmt.Errorf("journal: undecodable record: %w", err)
 	}
-	if rec.Session == "" && rec.Kind != KindTombstoneIndex {
-		return Record{}, errors.New("journal: record has no session id")
-	}
-	if rec.Seq < 0 {
-		return Record{}, fmt.Errorf("journal: record has negative seq %d", rec.Seq)
-	}
 	return rec, nil
+}
+
+// decodeCanonical decodes a line of the exact shape EncodeLine writes,
+// {"crc":N,"rec":{...}}, reading the CRC digits in place and running
+// encoding/json over the record bytes only. It accepts only a line the
+// generic decoder would accept with the same record: N is a canonical
+// uint32 literal, the record bytes start with '{' and end with '}' (so no
+// whitespace the envelope decoder would trim off before hashing), their
+// CRC matches, and they decode as one JSON value. Anything else returns
+// false and goes to decodeEnvelope.
+func decodeCanonical(line []byte) (Record, bool) {
+	rest, ok := bytes.CutPrefix(line, []byte(`{"crc":`))
+	if !ok {
+		return Record{}, false
+	}
+	n := 0
+	var crc uint64
+	for n < len(rest) && n <= 10 && rest[n] >= '0' && rest[n] <= '9' {
+		crc = crc*10 + uint64(rest[n]-'0')
+		n++
+	}
+	if n == 0 || n > 10 || (n > 1 && rest[0] == '0') || crc > 0xFFFFFFFF {
+		return Record{}, false
+	}
+	payload, ok := bytes.CutPrefix(rest[n:], []byte(`,"rec":`))
+	if !ok || len(payload) < 3 || payload[0] != '{' || payload[len(payload)-1] != '}' || payload[len(payload)-2] != '}' {
+		return Record{}, false
+	}
+	payload = payload[:len(payload)-1]
+	if crc32.ChecksumIEEE(payload) != uint32(crc) {
+		return Record{}, false
+	}
+	var rec Record
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return Record{}, false
+	}
+	return rec, true
 }
 
 // SessionLog is one recoverable session: its records in seq order,
@@ -560,16 +625,11 @@ func (j *Journal) Scan() (*Recovery, error) {
 // ScanShards is Scan over an explicit shard list — the reclaim path
 // scans just the shards it took over from a dead peer.
 func (j *Journal) ScanShards(shards []int) (*Recovery, error) {
-	rec := &Recovery{}
-	bySession := make(map[string][]Record)
-	var order []string // first-seen order, for deterministic output
-	for _, shard := range shards {
-		if err := scanShardFile(j.shardPath(shard), true, j.warnf, rec, bySession, &order); err != nil {
-			return nil, err
-		}
+	paths := make([]string, len(shards))
+	for i, shard := range shards {
+		paths[i] = j.shardPath(shard)
 	}
-	finishScan(rec, bySession, order)
-	return rec, nil
+	return scanShardFiles(paths, true, j.warnf)
 }
 
 // ScanDir scans explicit shards of a foreign journal directory
@@ -594,16 +654,87 @@ func ScanDir(dir string, shards []int, warnf func(format string, args ...any)) (
 			}
 		}
 	}
+	paths := make([]string, len(shards))
+	for i, shard := range shards {
+		paths[i] = filepath.Join(dir, fmt.Sprintf("journal-%02d.jsonl", shard))
+	}
+	return scanShardFiles(paths, false, warnf)
+}
+
+// shardScan is one shard file's share of a scan: the line-level findings
+// (mid-file damage, tombstone_index records, a torn tail) and, from
+// finishScan, the file's session chains sorted into Live, Ended and chain
+// damage.
+type shardScan struct {
+	lines     Recovery
+	chains    Recovery
+	bySession map[string][]Record
+	order     []string // first-seen session order, for deterministic output
+	err       error
+}
+
+// scanShardFiles scans each shard file on its own worker (warnf must be
+// safe for concurrent use) and joins the parts in list order. A session
+// lives in exactly one shard, so every chain is validated by the worker
+// that read it, and the join reproduces a one-file-after-another scan
+// exactly: line damage of every file in list order, then chain damage,
+// Live and Ended in first-seen order. Should a session id turn up in more
+// than one file anyway, its records are merged and the chains validated
+// again over the union, as a sequential scan would. A list naming a file
+// twice is scanned on one worker, so two repairs never race on a file.
+func scanShardFiles(paths []string, repair bool, warnf func(format string, args ...any)) (*Recovery, error) {
+	parts := make([]shardScan, len(paths))
+	workers := 0
+	seen := make(map[string]bool, len(paths))
+	for _, p := range paths {
+		if seen[p] {
+			workers = 1
+		}
+		seen[p] = true
+	}
+	parallel.Do(len(paths), workers, func(i int) {
+		p := &parts[i]
+		p.bySession = make(map[string][]Record)
+		if p.err = scanShardFile(paths[i], repair, warnf, &p.lines, p.bySession, &p.order); p.err == nil {
+			finishScan(&p.chains, p.bySession, p.order)
+		}
+	})
 	rec := &Recovery{}
-	bySession := make(map[string][]Record)
-	var order []string
-	for _, shard := range shards {
-		path := filepath.Join(dir, fmt.Sprintf("journal-%02d.jsonl", shard))
-		if err := scanShardFile(path, false, warnf, rec, bySession, &order); err != nil {
-			return nil, err
+	ids := make(map[string]bool)
+	split := false
+	for i := range parts {
+		p := &parts[i]
+		if p.err != nil {
+			return nil, p.err
+		}
+		rec.Damage = append(rec.Damage, p.lines.Damage...)
+		rec.Tombstones = append(rec.Tombstones, p.lines.Tombstones...)
+		rec.TruncatedTails += p.lines.TruncatedTails
+		for _, id := range p.order {
+			split = split || ids[id]
+			ids[id] = true
 		}
 	}
-	finishScan(rec, bySession, order)
+	if split {
+		bySession := make(map[string][]Record)
+		var order []string
+		for i := range parts {
+			for _, id := range parts[i].order {
+				if _, dup := bySession[id]; !dup {
+					order = append(order, id)
+				}
+				bySession[id] = append(bySession[id], parts[i].bySession[id]...)
+			}
+		}
+		finishScan(rec, bySession, order)
+		return rec, nil
+	}
+	for i := range parts {
+		c := &parts[i].chains
+		rec.Damage = append(rec.Damage, c.Damage...)
+		rec.Live = append(rec.Live, c.Live...)
+		rec.Ended = append(rec.Ended, c.Ended...)
+	}
 	return rec, nil
 }
 
@@ -688,28 +819,43 @@ func ValidateChain(id string, records []Record) (SessionLog, bool, string) {
 // twice; the records are byte-identical by the deterministic-trace
 // contract, so dropping the copies is exact. Two records sharing a seq
 // with *different* bytes are left in place for ValidateChain to report
-// as a broken chain.
+// as a broken chain. Only records of one seq and one kind can be
+// byte-identical, so only those are marshaled and compared: a lone
+// record, or a snapshot sharing its watermark with the next op, costs
+// nothing.
 func dedupeSorted(records []Record) []Record {
 	out := records[:0:0]
+	var kept []int // indices into the current group of the records kept
 	for i := 0; i < len(records); {
 		k := i
 		for k < len(records) && records[k].Seq == records[i].Seq {
 			k++
 		}
-		var kept [][]byte
-		for _, r := range records[i:k] {
-			line, err := json.Marshal(r)
+		group := records[i:k]
+		var lines [][]byte // marshaled on first comparison
+		line := func(g int) []byte {
+			if lines == nil {
+				lines = make([][]byte, len(group))
+			}
+			if lines[g] == nil {
+				lines[g], _ = json.Marshal(group[g])
+			}
+			return lines[g]
+		}
+		kept = kept[:0]
+		for g, r := range group {
 			dup := false
-			if err == nil {
-				for _, prev := range kept {
-					if bytes.Equal(prev, line) {
-						dup = true
-						break
-					}
+			for _, m := range kept {
+				if group[m].Kind != r.Kind {
+					continue
+				}
+				if a, b := line(m), line(g); a != nil && b != nil && bytes.Equal(a, b) {
+					dup = true
+					break
 				}
 			}
 			if !dup {
-				kept = append(kept, line)
+				kept = append(kept, g)
 				out = append(out, r)
 			}
 		}

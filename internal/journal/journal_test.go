@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -365,6 +366,9 @@ func TestEncodeDecodeLine(t *testing.T) {
 	got, err := DecodeLine(line[:len(line)-1])
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fast, ok := decodeCanonical(line[:len(line)-1]); !ok || !reflect.DeepEqual(fast, got) {
+		t.Fatalf("EncodeLine output missed the one-pass decode: %+v, %v", fast, ok)
 	}
 	if got.Session != rec.Session || got.Seq != rec.Seq || got.Kind != rec.Kind ||
 		got.TimeSec != rec.TimeSec || len(got.Metrics) != 3 || got.Metrics[2] != -3 {

@@ -33,9 +33,10 @@ func finiteOutcome(out arrow.Outcome) bool {
 // through to the server's validation gate), with a graceful shutdown
 // firing while half of them are mid-search. The server must not
 // deadlock, every finished session must return a complete result, and
-// every in-flight session must be flushed to a salvaged Partial that is
-// still readable over HTTP. Run under -race, this also shakes the
-// stepper's channel choreography and the store's locking.
+// every in-flight session must be flushed to a salvaged result that is
+// still readable over HTTP and holds exactly the observations its client
+// saw acknowledged. Run under -race, this also shakes the stepper's
+// channel choreography and the store's locking.
 func TestServeChaos(t *testing.T) {
 	const sessions = 64
 
@@ -52,6 +53,9 @@ func TestServeChaos(t *testing.T) {
 		shutdownNow = make(chan struct{})
 	)
 	ids := make([]string, sessions)
+	// acked[i] counts the observations (and reported failures) session
+	// i's client saw acknowledged; each client goroutine owns its slot.
+	acked := make([]int, sessions)
 
 	// Create every session up front so the later shutdown races only
 	// the next/observe stepping, never session creation.
@@ -130,6 +134,7 @@ func TestServeChaos(t *testing.T) {
 				}
 				switch st {
 				case http.StatusOK:
+					acked[i]++
 					// Under speculation (the default) Next is omitted and
 					// the loop's GET next picks up the precomputed plan.
 					if oresp.Next != nil && oresp.Next.Done {
@@ -169,7 +174,7 @@ func TestServeChaos(t *testing.T) {
 	// Partial for flushed ones. Nothing may hang or 500.
 	c := newClient(t, hs)
 	complete, partial := 0, 0
-	for _, id := range ids {
+	for i, id := range ids {
 		if id == "" {
 			t.Fatal("a session never got an id")
 		}
@@ -187,16 +192,17 @@ func TestServeChaos(t *testing.T) {
 		} else {
 			complete++
 		}
+		// Whether the shutdown salvaged the session or its last
+		// acknowledged observe already finished it (a flushed client
+		// cannot tell: under speculation the ack carries no Done), the
+		// result holds every acknowledged measurement and nothing else.
+		if got := len(res.Result.Observations) + len(res.Result.Failures); got != acked[i] {
+			t.Errorf("session %s: result holds %d measurements (%d observed, %d failed), client saw %d acknowledged",
+				id, got, len(res.Result.Observations), len(res.Result.Failures), acked[i])
+		}
 	}
 	if complete+partial != sessions {
 		t.Errorf("%d complete + %d partial != %d", complete, partial, sessions)
-	}
-	// A client that walked away mid-search left a session the shutdown
-	// had to salvage, so the Partial count can never undercount them.
-	// (A client that saw Done may still hold a Partial session: next
-	// reports Done for aborted sessions too.)
-	if int64(partial) < flushed.Load() {
-		t.Errorf("%d partial results but %d sessions were flushed mid-search", partial, flushed.Load())
 	}
 	t.Logf("chaos: %d complete, %d partial results", complete, partial)
 }

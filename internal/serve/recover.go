@@ -13,6 +13,7 @@ import (
 
 	arrow "repro"
 	"repro/internal/journal"
+	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
 
@@ -277,7 +278,14 @@ func (s *Server) CompactJournal(opts journal.CompactOptions) ([]journal.CompactS
 // adoptScan folds one journal scan into the server: tombstones for
 // ended and compacted-away sessions, a rehydrated session per live
 // chain, audit events, and the id counter seeded past everything seen.
-// Shared by boot recovery and runtime shard reclaim.
+// Shared by boot recovery, runtime shard reclaim and migrate adoption.
+//
+// The live chains replay concurrently, each holding one planning token,
+// so Config.Workers bounds recovery exactly as it bounds client-driven
+// planning, and each replay lands in its own slot. Everything after the
+// replays — store insertion under the session cap, damage reports,
+// report counters and session_recover events — commits in scan order,
+// so the outcome is the same at any worker count.
 func (s *Server) adoptScan(ctx context.Context, scan *journal.Recovery, report *RecoveryReport) {
 	report.Damaged = append(report.Damaged, scan.Damage...)
 	maxID := int64(0)
@@ -291,16 +299,34 @@ func (s *Server) adoptScan(ctx context.Context, scan *journal.Recovery, report *
 		report.Tombstones++
 		maxID = maxNumericID(maxID, id)
 	}
-	var latencies []time.Duration
-	for _, log := range scan.Live {
-		maxID = maxNumericID(maxID, log.ID)
+	type replayed struct {
+		sess     *session
+		obs      int
+		restored bool
+		took     time.Duration
+		err      error
+	}
+	slots := make([]replayed, len(scan.Live))
+	parallel.Do(len(scan.Live), cap(s.sem), func(i int) {
+		r := &slots[i]
+		if r.err = s.acquire(ctx); r.err != nil {
+			return
+		}
+		defer s.release()
 		t0 := time.Now()
-		sess, obs, restored, err := s.replaySession(ctx, log)
-		if err != nil {
-			report.Damaged = append(report.Damaged, fmt.Sprintf("session %s: replay failed: %v", log.ID, err))
+		r.sess, r.obs, r.restored, r.err = s.replaySession(ctx, scan.Live[i])
+		r.took = time.Since(t0)
+	})
+	var latencies []time.Duration
+	for i, log := range scan.Live {
+		maxID = maxNumericID(maxID, log.ID)
+		r := slots[i]
+		if r.err != nil {
+			report.Damaged = append(report.Damaged, fmt.Sprintf("session %s: replay failed: %v", log.ID, r.err))
 			continue
 		}
-		latencies = append(latencies, time.Since(t0))
+		sess, obs := r.sess, r.obs
+		latencies = append(latencies, r.took)
 		evicted, err := s.store.add(sess)
 		s.finalizeEvicted(evicted)
 		if err != nil {
@@ -313,7 +339,7 @@ func (s *Server) adoptScan(ctx context.Context, scan *journal.Recovery, report *
 		}
 		report.Recovered++
 		report.Observations += obs
-		if restored {
+		if r.restored {
 			report.SnapshotRestores++
 		}
 		if s.tracer != nil {

@@ -39,10 +39,15 @@ var errSessionEvicted = errors.New("serve: session evicted")
 // errShutdownFlush is the salvage cause for graceful-shutdown flushing.
 var errShutdownFlush = errors.New("serve: session flushed by server shutdown")
 
-// errJournalFailed aborts a create whose journal record could not be
-// written: a session the journal never saw would silently vanish on
-// restart, so it is refused up front instead.
+// errJournalFailed aborts a session whose journal record could not be
+// written: a create the journal never saw would silently vanish on
+// restart, and an observation it never saw would be lost, so neither is
+// acknowledged.
 var errJournalFailed = errors.New("serve: session journal append failed")
+
+// errChainClosed refuses an append to a session whose journal chain is
+// closed (see session.terminal).
+var errChainClosed = errors.New("serve: session journal chain is closed")
 
 // Config parameterizes a Server. The zero value serves with the
 // defaults above, no audit sink and fresh metrics.
@@ -176,13 +181,19 @@ type session struct {
 	// without re-reading the shard; maintained only when snapshots are
 	// enabled. Guarded by jmu.
 	ops []journal.Record
-	// terminal marks that a terminal record was journaled, fencing a
-	// racing snapshot capture out of an ended chain; guarded by jmu.
+	// terminal marks the journal chain closed: a terminal record was
+	// journaled, or an append failed and left a seq gap no later record
+	// could bridge. Closed chains take no more appends or snapshots, so
+	// recovery still replays everything up to the last durable record;
+	// guarded by jmu.
 	terminal bool
 	// specSeq is the issue ordinal of the suggestion the background
 	// speculation planned but no client has fetched yet (-1 when none).
 	// Atomic because endSession reads it without the session mutex.
 	specSeq atomic.Int64
+	// specIndex is the candidate index of the specSeq plan, so an observe
+	// that names the unserved head blind is refused; guarded by mu.
+	specIndex int
 }
 
 // New builds a Server.
@@ -440,6 +451,14 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 	if st := s.drainFence(w, sess); st != 0 {
 		return st
 	}
+	if sess.specSeq.Load() >= 0 && req.Index == sess.specIndex {
+		// The advisor has this suggestion pending, but only the background
+		// speculation planned it: no client was handed it and the journal
+		// has no suggest record for it, so accepting the observation would
+		// write a chain that cannot replay. For the client it was never
+		// asked.
+		return writeErr(w, http.StatusConflict, "no pending suggestion: not asked, already observed, or session finished")
+	}
 	reason := req.Reason
 	if reason == "" {
 		reason = "measurement failed"
@@ -467,17 +486,28 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 	// the acknowledgment reaches the client. An observation lost with an
 	// unacknowledged response is safe — the client re-measures and the
 	// deterministic target yields the same outcome.
+	var jerr error
 	if req.Failed {
-		s.appendRecord(sess, journal.Record{Kind: journal.KindObserveFailure, Index: req.Index, Reason: reason})
+		jerr = s.appendRecord(sess, journal.Record{Kind: journal.KindObserveFailure, Index: req.Index, Reason: reason})
 	} else {
 		sess.steps++
-		s.appendRecord(sess, journal.Record{
+		jerr = s.appendRecord(sess, journal.Record{
 			Kind:    journal.KindObserve,
 			Index:   req.Index,
 			TimeSec: req.TimeSec,
 			CostUSD: req.CostUSD,
 			Metrics: req.Metrics,
 		})
+	}
+	if jerr != nil {
+		// The advisor holds an observation the journal does not, so this
+		// replica can no longer serve the session faithfully. Evict it
+		// without a terminal record, as a lost lease does: its chain ends
+		// at the last durable record, which is what the next owner, or
+		// this replica's next boot, recovers.
+		sess.advisor.Abort(errJournalFailed)
+		s.store.remove(sess.id)
+		return writeErr(w, http.StatusServiceUnavailable, "session journal unavailable; observation not recorded and session evicted from this replica")
 	}
 
 	if s.cfg.DisableSpeculation {
@@ -524,6 +554,7 @@ func (s *Server) speculate(sess *session) {
 	}
 	if sug.Seq > sess.journaledSeq {
 		// A genuinely new plan, not yet served to the client.
+		sess.specIndex = sug.Index
 		sess.specSeq.Store(int64(sug.Seq))
 	}
 }
@@ -858,9 +889,11 @@ func (s *Server) newSessionID() (string, error) {
 // appendRecord journals one state transition for the session, pairing
 // the sequence-number allocation with the write under the session's
 // journal mutex so chains stay contiguous even when an eviction races a
-// request. A failed append is warned about and leaves a seq gap; the
-// recovery scan then reports the session as damaged rather than
-// replaying an inconsistent chain.
+// request. A failed append is warned about and closes the chain: the
+// lost record leaves a seq gap, and anything journaled past it would
+// make recovery drop the whole session, so later appends fail with
+// errChainClosed instead and the chain recovers up to its last durable
+// record.
 func (s *Server) appendRecord(sess *session, rec journal.Record) error {
 	j := s.cfg.Journal
 	if j == nil {
@@ -868,6 +901,9 @@ func (s *Server) appendRecord(sess *session, rec journal.Record) error {
 	}
 	sess.jmu.Lock()
 	defer sess.jmu.Unlock()
+	if sess.terminal {
+		return errChainClosed
+	}
 	rec.Session = sess.id
 	rec.Seq = sess.seq
 	sess.seq++
@@ -875,6 +911,7 @@ func (s *Server) appendRecord(sess *session, rec journal.Record) error {
 		sess.terminal = true
 	}
 	if err := j.Append(rec); err != nil {
+		sess.terminal = true
 		s.warnf("session %s: %s record lost: %v", sess.id, rec.Kind, err)
 		return err
 	}
